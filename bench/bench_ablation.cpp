@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "attacks/attacks_impl.h"
-#include "bench/bench_obs.h"
 #include "bench/bench_util.h"
 #include "sim/stats.h"
 #include "workloads/sites.h"
@@ -48,9 +47,8 @@ double dom_attr_overhead(const kernel::kernel_options& opts)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    const std::string json_dir = bench::json_out_dir(argc, argv);
     std::printf("=== Ablation 1: prediction strategy vs attack accuracy ===\n\n");
     bench::print_row({"prediction", "parsing-accuracy"}, 20);
     bench::print_rule(2, 20);
@@ -88,15 +86,5 @@ int main(int argc, char** argv)
 
     const bool ok = det_acc <= 0.55 && with == 0 && without > 0 && without <= 6;
     std::printf("\nablation expectations hold: %s\n", ok ? "yes" : "NO");
-    if (!json_dir.empty()) {
-        bench::json_report report("ablation");
-        report.set("deterministic_parsing_accuracy", det_acc);
-        report.set("fuzzy_parsing_accuracy", fuzzy_acc);
-        report.set("cves_triggered_with_policies", static_cast<std::uint64_t>(with));
-        report.set("cves_triggered_scheduler_only", static_cast<std::uint64_t>(without));
-        report.set_raw("metrics",
-                       bench::representative_metrics_json(defenses::defense_id::jskernel));
-        report.write(json_dir);
-    }
     return ok ? 0 : 1;
 }

@@ -13,9 +13,9 @@
 #include <functional>
 #include <memory>
 
-#include "bench/bench_obs.h"
 #include "bench/bench_util.h"
 #include "defenses/defense.h"
+#include "runtime/rearm.h"
 
 using namespace jsk;
 namespace sim = jsk::sim;
@@ -45,13 +45,12 @@ app make_spinner_app(std::string name)
                    serve_cross_origin(b, url, 120'000);
                    auto st = std::make_shared<std::pair<long, bool>>(0, false);
                    b.main().post_task(0, [&b, st, url] {
-                       auto tick = std::make_shared<std::function<void()>>();
-                       *tick = [&b, st, tick] {
+                       const auto tick = rt::rearming([&b, st](const auto& again) {
                            if (st->second) return;
                            ++st->first;
-                           b.main().apis().set_timeout([tick] { (*tick)(); }, 5 * sim::ms);
-                       };
-                       b.main().apis().set_timeout([tick] { (*tick)(); }, 5 * sim::ms);
+                           b.main().apis().set_timeout(again, 5 * sim::ms);
+                       });
+                       b.main().apis().set_timeout(tick, 5 * sim::ms);
                        b.main().apis().fetch(
                            url, {}, [st](const rt::fetch_result&) { st->second = true; },
                            [st](const rt::fetch_result&) { st->second = true; });
@@ -69,15 +68,15 @@ app make_cadence_app(std::string name, int steps, sim::time_ns interval)
                    auto done_at = std::make_shared<double>(0.0);
                    b.main().post_task(0, [&b, done_at, steps, interval] {
                        auto remaining = std::make_shared<int>(steps);
-                       auto tick = std::make_shared<std::function<void()>>();
-                       *tick = [&b, done_at, remaining, interval, tick] {
-                           if (--*remaining <= 0) {
-                               *done_at = b.main().now_ms_raw();
-                               return;
-                           }
-                           b.main().apis().set_timeout([tick] { (*tick)(); }, interval);
-                       };
-                       b.main().apis().set_timeout([tick] { (*tick)(); }, interval);
+                       const auto tick =
+                           rt::rearming([&b, done_at, remaining, interval](const auto& again) {
+                               if (--*remaining <= 0) {
+                                   *done_at = b.main().now_ms_raw();
+                                   return;
+                               }
+                               b.main().apis().set_timeout(again, interval);
+                           });
+                       b.main().apis().set_timeout(tick, interval);
                    });
                    b.run_until(60 * sim::sec);
                    return *done_at;
@@ -102,17 +101,14 @@ std::vector<app> make_apps()
     apps.push_back({"fps-meter", "requestAnimationFrame", true, [](rt::browser& b) {
                         auto st = std::make_shared<std::pair<double, int>>(-1.0, 0);
                         b.main().post_task(0, [&b, st] {
-                            auto frame = std::make_shared<std::function<void(double)>>();
-                            *frame = [&b, st, frame](double ts) {
-                                if (st->first < 0) st->first = ts;
-                                ++st->second;
-                                if (ts - st->first < 500.0 && st->second < 200) {
-                                    b.main().apis().request_animation_frame(
-                                        [frame](double t) { (*frame)(t); });
-                                }
-                            };
-                            b.main().apis().request_animation_frame(
-                                [frame](double t) { (*frame)(t); });
+                            b.main().apis().request_animation_frame(rt::rearming<double>(
+                                [&b, st](const auto& again, double ts) {
+                                    if (st->first < 0) st->first = ts;
+                                    ++st->second;
+                                    if (ts - st->first < 500.0 && st->second < 200) {
+                                        b.main().apis().request_animation_frame(again);
+                                    }
+                                }));
                         });
                         b.run_until(30 * sim::sec);
                         return static_cast<double>(st->second);
@@ -199,9 +195,8 @@ double run_app(const app& a, defenses::defense_id id)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    const std::string json_dir = bench::json_out_dir(argc, argv);
     const auto apps = make_apps();
     const std::vector<defenses::defense_id> columns{
         defenses::defense_id::fuzzyfox, defenses::defense_id::deterfox,
@@ -244,16 +239,5 @@ int main(int argc, char** argv)
                     jskernel_nontime_diffs == 0 && diff_counts[2] <= 5;
     std::printf("shape holds (jskernel < deterfox < fuzzyfox, no functional breakage): %s\n",
                 ok ? "yes" : "NO");
-    if (!json_dir.empty()) {
-        bench::json_report report("api_compat");
-        report.set("fuzzyfox_diffs", static_cast<std::uint64_t>(diff_counts[0]));
-        report.set("deterfox_diffs", static_cast<std::uint64_t>(diff_counts[1]));
-        report.set("jskernel_diffs", static_cast<std::uint64_t>(diff_counts[2]));
-        report.set("jskernel_nontime_diffs",
-                   static_cast<std::uint64_t>(jskernel_nontime_diffs));
-        report.set_raw("metrics",
-                       bench::representative_metrics_json(defenses::defense_id::jskernel));
-        report.write(json_dir);
-    }
     return ok ? 0 : 1;
 }

@@ -4,7 +4,6 @@
 // through dynamic content (ads), which differ between *any* two visits.
 #include <cstdio>
 
-#include "bench/bench_obs.h"
 #include "bench/bench_util.h"
 #include "defenses/defense.h"
 #include "sim/stats.h"
@@ -31,9 +30,8 @@ std::unordered_map<std::string, double> visit(std::uint64_t site, bool with_kern
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    const std::string json_dir = bench::json_out_dir(argc, argv);
     const int sites = 100;
     int above_99 = 0;
     int dynamic_flagged = 0;
@@ -61,14 +59,5 @@ int main(int argc, char** argv)
     std::printf("minimum similarity: %.4f\n", min_sim);
     const bool ok = above_99 >= 85 && dynamic_flagged == sites - above_99;
     std::printf("shape holds: %s\n", ok ? "yes" : "NO");
-    if (!json_dir.empty()) {
-        bench::json_report report("compat");
-        report.set("sites_above_99pct", static_cast<std::uint64_t>(above_99));
-        report.set("dynamic_flagged", static_cast<std::uint64_t>(dynamic_flagged));
-        report.set("min_similarity", min_sim);
-        report.set_raw("metrics",
-                       bench::representative_metrics_json(defenses::defense_id::jskernel));
-        report.write(json_dir);
-    }
     return ok ? 0 : 1;
 }

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "bench/bench_obs.h"
 #include "bench/bench_util.h"
 #include "defenses/defense.h"
 #include "workloads/sites.h"
@@ -28,9 +27,8 @@ double run_once(const std::string& test, bool with_kernel)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    const std::string json_dir = bench::json_out_dir(argc, argv);
     std::printf("=== Dromaeo-like micro-benchmark: JSKernel overhead per test ===\n\n");
     bench::print_row({"test", "baseline(ms)", "jskernel(ms)", "overhead(%)"}, 18);
     bench::print_rule(4, 18);
@@ -61,14 +59,5 @@ int main(int argc, char** argv)
                 dom_attr_overhead);
     const bool ok = median < 2.0 && dom_attr_overhead > 5.0 && dom_attr_overhead < 60.0;
     std::printf("shape holds (tiny median, DOM-attr dominates): %s\n", ok ? "yes" : "NO");
-    if (!json_dir.empty()) {
-        bench::json_report report("dromaeo");
-        report.set("average_overhead_pct", avg);
-        report.set("median_overhead_pct", median);
-        report.set("dom_attr_overhead_pct", dom_attr_overhead);
-        report.set_raw("metrics",
-                       bench::representative_metrics_json(defenses::defense_id::jskernel));
-        report.write(json_dir);
-    }
     return ok ? 0 : 1;
 }

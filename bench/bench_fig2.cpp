@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "attacks/attacks_impl.h"
-#include "bench/bench_obs.h"
 #include "bench/bench_util.h"
 
 using namespace jsk;
@@ -27,9 +26,8 @@ double reported_ms(defenses::defense_id id, std::size_t bytes, std::uint64_t see
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    const std::string json_dir = bench::json_out_dir(argc, argv);
     std::printf("=== Figure 2: reported script parsing time (ms) vs size (MB) ===\n\n");
     std::vector<std::string> header{"size(MB)"};
     for (const auto id : defenses::all_defense_ids()) {
@@ -55,13 +53,5 @@ int main(int argc, char** argv)
     }
     std::printf("\njskernel series flat across sizes: %s\n",
                 jskernel_flat ? "yes (paper: constant ~10 ms)" : "NO");
-    if (!json_dir.empty()) {
-        bench::json_report report("fig2");
-        report.set("jskernel_flat", std::uint64_t{jskernel_flat ? 1u : 0u});
-        report.set("jskernel_reported_ms", jskernel_first);
-        report.set_raw("metrics",
-                       bench::representative_metrics_json(defenses::defense_id::jskernel));
-        report.write(json_dir);
-    }
     return jskernel_flat ? 0 : 1;
 }

@@ -7,7 +7,6 @@
 // the slowest; DeterFox tracks Firefox.
 #include <cstdio>
 
-#include "bench/bench_obs.h"
 #include "bench/bench_util.h"
 #include "defenses/defense.h"
 #include "sim/stats.h"
@@ -40,9 +39,8 @@ std::vector<double> load_all(const config_row& cfg, int sites, std::uint64_t see
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    const std::string json_dir = bench::json_out_dir(argc, argv);
     const int sites = 500;
     const std::vector<config_row> configs{
         {"chrome", rt::chrome_profile(), defenses::defense_id::legacy},
@@ -90,16 +88,5 @@ int main(int argc, char** argv)
     const bool ok = jsk_overhead < cz_overhead && jsk_overhead < 10.0;
     std::printf("shape holds (jskernel < chromezero, jskernel small): %s\n",
                 ok ? "yes" : "NO");
-    if (!json_dir.empty()) {
-        bench::json_report report("fig3");
-        report.set("chrome_mean_ms", chrome_mean);
-        report.set("chrome_jskernel_mean_ms", chrome_jsk_mean);
-        report.set("chrome_chromezero_mean_ms", chrome_cz_mean);
-        report.set("jskernel_overhead_pct", jsk_overhead);
-        report.set("chromezero_overhead_pct", cz_overhead);
-        report.set_raw("metrics",
-                       bench::representative_metrics_json(defenses::defense_id::jskernel));
-        report.write(json_dir);
-    }
     return ok ? 0 : 1;
 }

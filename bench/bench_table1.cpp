@@ -10,14 +10,12 @@
 
 #include "attacks/attack.h"
 #include "attacks/expected.h"
-#include "bench/bench_obs.h"
 #include "bench/bench_util.h"
 
 using namespace jsk;
 
-int main(int argc, char** argv)
+int main()
 {
-    const std::string json_dir = bench::json_out_dir(argc, argv);
     const auto defenses_list = defenses::all_defense_ids();
     std::printf("=== Table I: defenses vs web concurrency attacks ===\n");
     std::printf("cell: measured verdict (D=defended, V=vulnerable); '!' = differs from "
@@ -54,13 +52,5 @@ int main(int argc, char** argv)
         bench::print_row(row, 16);
     }
     std::printf("\nmismatches vs expected matrix: %d / 132\n", mismatches);
-    if (!json_dir.empty()) {
-        bench::json_report report("table1");
-        report.set("matrix_cells", std::uint64_t{132});
-        report.set("mismatches", static_cast<std::uint64_t>(mismatches));
-        report.set_raw("metrics",
-                       bench::representative_metrics_json(defenses::defense_id::jskernel));
-        report.write(json_dir);
-    }
     return mismatches == 0 ? 0 : 1;
 }

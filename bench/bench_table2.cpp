@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "attacks/attacks_impl.h"
-#include "bench/bench_obs.h"
 #include "bench/bench_util.h"
 #include "sim/stats.h"
 
@@ -54,9 +53,8 @@ double avg_loopscan(const row_config& row, bool youtube, int runs)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    const std::string json_dir = bench::json_out_dir(argc, argv);
     const int runs = 25;  // as in the paper
     std::vector<row_config> rows{
         {"chrome", rt::chrome_profile(), defenses::defense_id::legacy},
@@ -76,7 +74,6 @@ int main(int argc, char** argv)
     bench::print_rule(5, 17);
 
     bool jskernel_constant = true;
-    bench::json_report report("table2");
     for (const auto& row : rows) {
         const double lo = avg_svg(row, 64, runs);
         const double hi = avg_svg(row, 512, runs);
@@ -88,19 +85,9 @@ int main(int argc, char** argv)
         if (row.defense == defenses::defense_id::jskernel) {
             jskernel_constant = (lo == hi) && (google == youtube);
         }
-        report.set(row.label + "_svg_low_ms", lo);
-        report.set(row.label + "_svg_high_ms", hi);
-        report.set(row.label + "_loopscan_google_ms", google);
-        report.set(row.label + "_loopscan_youtube_ms", youtube);
     }
     std::printf("\njskernel columns constant across secrets: %s (paper: 10/10 ms SVG, "
                 "1/1 ms loopscan)\n",
                 jskernel_constant ? "yes" : "NO");
-    if (!json_dir.empty()) {
-        report.set("jskernel_constant", std::uint64_t{jskernel_constant ? 1u : 0u});
-        report.set_raw("metrics",
-                       bench::representative_metrics_json(defenses::defense_id::jskernel));
-        report.write(json_dir);
-    }
     return jskernel_constant ? 0 : 1;
 }

@@ -7,7 +7,6 @@
 // so variance here is defense-jitter only; legacy rows are near-constant).
 #include <cstdio>
 
-#include "bench/bench_obs.h"
 #include "bench/bench_util.h"
 #include "defenses/defense.h"
 #include "sim/stats.h"
@@ -38,9 +37,8 @@ sim::summary run_subtest(const rt::browser_profile& profile, defenses::defense_i
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    const std::string json_dir = bench::json_out_dir(argc, argv);
     const int loads = 25;
     const std::vector<std::string> subtests{"amazon", "facebook", "google", "youtube"};
 
@@ -50,7 +48,6 @@ int main(int argc, char** argv)
     bench::print_rule(5, 17);
 
     bool overhead_small = true;
-    bench::json_report report("table3");
     for (const auto& name : subtests) {
         const auto chrome = run_subtest(rt::chrome_profile(), defenses::defense_id::legacy,
                                         name, loads);
@@ -69,18 +66,9 @@ int main(int argc, char** argv)
         if (chrome_jsk.mean > chrome.mean * 1.15 || firefox_jsk.mean > firefox.mean * 1.15) {
             overhead_small = false;
         }
-        report.set(name + "_chrome_ms", chrome.mean);
-        report.set(name + "_chrome_jskernel_ms", chrome_jsk.mean);
-        report.set(name + "_firefox_ms", firefox.mean);
-        report.set(name + "_firefox_jskernel_ms", firefox_jsk.mean);
     }
     std::printf("\njskernel hero-load overhead stays within 15%% on every subtest: %s "
                 "(paper: 2.75%% Chrome / 3.85%% Firefox average)\n",
                 overhead_small ? "yes" : "NO");
-    if (!json_dir.empty()) {
-        report.set_raw("metrics",
-                       bench::representative_metrics_json(defenses::defense_id::jskernel));
-        report.write(json_dir);
-    }
     return overhead_small ? 0 : 1;
 }

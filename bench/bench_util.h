@@ -1,14 +1,10 @@
 // Shared helpers for the paper-table reproduction binaries: fixed-width table
-// formatting, and the `--json <dir>` perf-trajectory output every bench
-// binary supports (machine-readable BENCH_*.json files that CI archives, so
-// numbers accrete across PRs instead of scrolling away in logs).
+// formatting. The binaries print their artifact and exit nonzero when its
+// shape check fails; host-time measurement lives in perfbench/.
 #pragma once
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace jsk::bench {
@@ -38,93 +34,5 @@ inline std::string fmt_pm(double mean, double stddev, int precision = 1)
     std::snprintf(buf, sizeof(buf), "%.*f±%.*f", precision, mean, precision, stddev);
     return buf;
 }
-
-/// Directory for BENCH_*.json output, from a `--json <dir>` argument.
-/// Empty string when the flag is absent (callers then skip JSON output).
-inline std::string json_out_dir(int argc, char** argv)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--json") return argv[i + 1];
-    }
-    return {};
-}
-
-/// An insertion-ordered flat JSON object ({"metric": value, ...}) written as
-/// BENCH_<name>.json. Values are numbers or strings; numbers are emitted
-/// with enough precision to round-trip.
-class json_report {
-public:
-    explicit json_report(std::string name) : name_(std::move(name)) {}
-
-    void set(const std::string& key, double value)
-    {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", value);
-        fields_.emplace_back(key, buf);
-    }
-
-    void set(const std::string& key, std::uint64_t value)
-    {
-        fields_.emplace_back(key, std::to_string(value));
-    }
-
-    void set_string(const std::string& key, const std::string& value)
-    {
-        fields_.emplace_back(key, "\"" + escape(value) + "\"");
-    }
-
-    /// Embed a pre-serialized JSON value verbatim (e.g. an obs metrics
-    /// snapshot from jsk::obs::registry::to_json()). The caller owns its
-    /// validity.
-    void set_raw(const std::string& key, std::string raw_json)
-    {
-        fields_.emplace_back(key, std::move(raw_json));
-    }
-
-    /// Write BENCH_<name>.json into `dir` (created if needed). Returns the
-    /// path written, or empty on failure/empty dir.
-    std::string write(const std::string& dir) const
-    {
-        if (dir.empty()) return {};
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        const std::string path =
-            (std::filesystem::path(dir) / ("BENCH_" + name_ + ".json")).string();
-        std::ofstream out(path);
-        if (!out) {
-            std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-            return {};
-        }
-        out << "{\n";
-        for (std::size_t i = 0; i < fields_.size(); ++i) {
-            out << "  \"" << escape(fields_[i].first) << "\": " << fields_[i].second;
-            if (i + 1 < fields_.size()) out << ",";
-            out << "\n";
-        }
-        out << "}\n";
-        std::printf("wrote %s\n", path.c_str());
-        return path;
-    }
-
-private:
-    static std::string escape(const std::string& s)
-    {
-        std::string out;
-        out.reserve(s.size());
-        for (const char c : s) {
-            switch (c) {
-                case '"': out += "\\\""; break;
-                case '\\': out += "\\\\"; break;
-                case '\n': out += "\\n"; break;
-                case '\t': out += "\\t"; break;
-                default: out += c;
-            }
-        }
-        return out;
-    }
-
-    std::string name_;
-    std::vector<std::pair<std::string, std::string>> fields_;
-};
 
 }  // namespace jsk::bench

@@ -3,7 +3,6 @@
 // Paper: ~0.9 % average overhead.
 #include <cstdio>
 
-#include "bench/bench_obs.h"
 #include "bench/bench_util.h"
 #include "defenses/defense.h"
 #include "sim/stats.h"
@@ -30,9 +29,8 @@ sim::summary run_bench(bool with_kernel, int repeats)
 
 }  // namespace
 
-int main(int argc, char** argv)
+int main()
 {
-    const std::string json_dir = bench::json_out_dir(argc, argv);
     const int repeats = 5;
     std::printf("=== Worker benchmark: 16 workers, %d repeats ===\n\n", repeats);
     const auto base = run_bench(false, repeats);
@@ -46,14 +44,5 @@ int main(int argc, char** argv)
     std::printf("\noverhead: %.2f%% (paper: ~0.9%%)\n", overhead);
     const bool ok = overhead < 15.0;
     std::printf("shape holds (small worker-creation overhead): %s\n", ok ? "yes" : "NO");
-    if (!json_dir.empty()) {
-        bench::json_report report("worker");
-        report.set("base_mean_ms", base.mean);
-        report.set("kernel_mean_ms", kernel.mean);
-        report.set("overhead_pct", overhead);
-        report.set_raw("metrics",
-                       bench::representative_metrics_json(defenses::defense_id::jskernel));
-        report.write(json_dir);
-    }
     return ok ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 #include "attacks/clocks.h"
 
+#include "runtime/rearm.h"
+
 namespace jsk::attacks {
 
 namespace sim = jsk::sim;
@@ -13,13 +15,12 @@ double count_timeout_ticks_during(rt::browser& b, const async_op& op)
     auto st = std::make_shared<state>();
     rt::browser* bp = &b;
     b.main().post_task(0, [bp, st, &op] {
-        auto tick = std::make_shared<std::function<void()>>();
-        *tick = [bp, st, tick] {
+        const auto tick = rt::rearming([bp, st](const auto& again) {
             if (st->done) return;
             ++st->ticks;
-            bp->main().apis().set_timeout([tick] { (*tick)(); }, 0);
-        };
-        bp->main().apis().set_timeout([tick] { (*tick)(); }, 0);
+            bp->main().apis().set_timeout(again, 0);
+        });
+        bp->main().apis().set_timeout(tick, 0);
         op(*bp, [st] { st->done = true; });
     });
     b.run_until(60 * sim::sec);
@@ -36,17 +37,15 @@ double count_now_polls_during(rt::browser& b, const async_op& op)
     rt::browser* bp = &b;
     b.main().post_task(0, [bp, st, &op] {
         op(*bp, [st] { st->done = true; });
-        auto spin = std::make_shared<std::function<void()>>();
-        *spin = [bp, st, spin] {
+        rt::rearming([bp, st](const auto& again) {
             if (st->done) return;
             for (int i = 0; i < 64; ++i) {
                 (void)bp->main().apis().performance_now();
                 bp->main().consume(bp->profile().cheap_op_cost);
                 ++st->polls;
             }
-            bp->main().apis().set_timeout([spin] { (*spin)(); }, 0);
-        };
-        (*spin)();
+            bp->main().apis().set_timeout(again, 0);
+        })();
     });
     b.run_until(60 * sim::sec);
     return static_cast<double>(st->polls);
@@ -60,17 +59,17 @@ double mean_raf_interval(rt::browser& b, int frames, const std::function<void(in
     auto st = std::make_shared<state>();
     rt::browser* bp = &b;
     b.main().post_task(0, [bp, st, frames, &on_frame] {
-        auto frame = std::make_shared<std::function<void(double)>>();
-        *frame = [bp, st, frames, frame, &on_frame](double ts) {
-            st->stamps.push_back(ts);
-            const int i = static_cast<int>(st->stamps.size());
-            if (i < frames) {
-                on_frame(i);
-                bp->main().apis().request_animation_frame([frame](double t) { (*frame)(t); });
-            }
-        };
+        const auto frame =
+            rt::rearming<double>([bp, st, frames, &on_frame](const auto& again, double ts) {
+                st->stamps.push_back(ts);
+                const int i = static_cast<int>(st->stamps.size());
+                if (i < frames) {
+                    on_frame(i);
+                    bp->main().apis().request_animation_frame(again);
+                }
+            });
         on_frame(0);
-        bp->main().apis().request_animation_frame([frame](double t) { (*frame)(t); });
+        bp->main().apis().request_animation_frame(frame);
     });
     b.run_until(60 * sim::sec);
     if (st->stamps.size() < 2) return 0.0;

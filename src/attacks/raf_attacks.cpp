@@ -3,6 +3,7 @@
 // [12], video/WebVTT [6].
 #include "attacks/attacks_impl.h"
 #include "attacks/clocks.h"
+#include "runtime/rearm.h"
 
 namespace jsk::attacks {
 
@@ -163,17 +164,16 @@ double css_animation::measure(rt::browser& b, bool secret_b)
     rt::browser* bp = &b;
     b.main().post_task(0, [bp, st, target, frame_work] {
         bp->painter().start_animation(target, 600);
-        auto tick = std::make_shared<std::function<void()>>();
-        *tick = [bp, st, target, frame_work, tick] {
+        const auto tick = rt::rearming([bp, st, target, frame_work](const auto& again) {
             bp->painter().add_paint_work(frame_work);
             if (--st->ticks_left <= 0) {
                 st->progress =
                     std::stod(bp->main().apis().get_attribute(target, "animation-progress"));
                 return;
             }
-            bp->main().apis().set_timeout([tick] { (*tick)(); }, 10 * sim::ms);
-        };
-        bp->main().apis().set_timeout([tick] { (*tick)(); }, 10 * sim::ms);
+            bp->main().apis().set_timeout(again, 10 * sim::ms);
+        });
+        bp->main().apis().set_timeout(tick, 10 * sim::ms);
     });
     b.run_until(120 * sim::sec);
     return st->progress;

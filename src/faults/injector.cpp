@@ -2,16 +2,12 @@
 
 #include <algorithm>
 
+#include "sim/hash.h"
+
 namespace jsk::faults {
 namespace {
 
-std::uint64_t mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
+using sim::mix64;
 
 constexpr std::uint32_t tag_fetch = 0xF37C0001u;
 constexpr std::uint32_t tag_spawn = 0xF37C0002u;

@@ -27,7 +27,7 @@ public:
     /// Null-plan fast path: when false, no site consults the injector at all
     /// (browser::active_faults() returns nullptr), so the fault-free path
     /// costs one branch — the same discipline as the obs null-sink guard,
-    /// and pinned by the bench_hotpath faults guard.
+    /// and pinned by tests/perf/test_overhead_guards.cpp.
     [[nodiscard]] bool enabled() const { return enabled_; }
 
     // --- network -----------------------------------------------------------

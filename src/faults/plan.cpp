@@ -5,16 +5,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/hash.h"
+
 namespace jsk::faults {
 namespace {
 
-std::uint64_t mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
+using sim::mix64;
 
 // The codec is a flat key=value list; this table is the single source of
 // truth for field order and names, shared by str() and parse().

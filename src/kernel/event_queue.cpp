@@ -4,21 +4,13 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/hash.h"
+
 namespace jsk::kernel {
 
-namespace {
-
-// splitmix64 finalizer: event ids are sequential, so the index needs a mixer
-// to avoid clustering runs of probes.
-std::uint64_t mix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
+// Event ids are sequential, so the index mixes them (sim::mix64) to avoid
+// clustering runs of probes.
+using sim::mix64;
 
 // --- id index ------------------------------------------------------------------
 
@@ -26,7 +18,7 @@ std::uint32_t event_queue::index_find(std::uint64_t id) const
 {
     if (idx_keys_.empty()) return npos;
     const std::size_t mask = idx_keys_.size() - 1;
-    std::size_t pos = mix(id) & mask;
+    std::size_t pos = mix64(id) & mask;
     while (idx_state_[pos] != 0) {
         if (idx_state_[pos] == 1 && idx_keys_[pos] == id) return idx_slots_[pos];
         pos = (pos + 1) & mask;
@@ -40,7 +32,7 @@ void event_queue::index_insert(std::uint64_t id, std::uint32_t slot)
         index_rehash(std::max<std::size_t>(64, (idx_used_ + 1) * 2));
     }
     const std::size_t mask = idx_keys_.size() - 1;
-    std::size_t pos = mix(id) & mask;
+    std::size_t pos = mix64(id) & mask;
     while (idx_state_[pos] == 1) pos = (pos + 1) & mask;
     if (idx_state_[pos] == 0) ++idx_filled_;  // reusing a tombstone keeps filled_
     idx_keys_[pos] = id;
@@ -52,7 +44,7 @@ void event_queue::index_insert(std::uint64_t id, std::uint32_t slot)
 void event_queue::index_erase(std::uint64_t id)
 {
     const std::size_t mask = idx_keys_.size() - 1;
-    std::size_t pos = mix(id) & mask;
+    std::size_t pos = mix64(id) & mask;
     while (idx_state_[pos] != 0) {
         if (idx_state_[pos] == 1 && idx_keys_[pos] == id) {
             idx_state_[pos] = 2;  // tombstone: keeps probe chains intact
@@ -73,7 +65,7 @@ void event_queue::index_rehash(std::size_t min_capacity)
     const std::size_t mask = cap - 1;
     for (std::size_t i = 0; i < idx_keys_.size(); ++i) {
         if (idx_state_[i] != 1) continue;
-        std::size_t pos = mix(idx_keys_[i]) & mask;
+        std::size_t pos = mix64(idx_keys_[i]) & mask;
         while (state[pos] != 0) pos = (pos + 1) & mask;
         keys[pos] = idx_keys_[i];
         slots[pos] = idx_slots_[i];

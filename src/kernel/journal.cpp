@@ -1,27 +1,11 @@
 #include "kernel/journal.h"
 
 #include <bit>
-#include <cstring>
 #include <sstream>
 
+#include "sim/hash.h"
+
 namespace jsk::kernel {
-
-namespace {
-
-constexpr std::uint64_t fnv_offset = 14695981039346656037ULL;
-constexpr std::uint64_t fnv_prime = 1099511628211ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n)
-{
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= fnv_prime;
-    }
-    return h;
-}
-
-}  // namespace
 
 std::string journal::to_json() const
 {
@@ -71,14 +55,12 @@ std::string journal::diff_description(const journal& other) const
 
 std::uint64_t journal::class_hash() const
 {
-    std::uint64_t h = fnv_offset;
+    std::uint64_t h = sim::fnv1a_offset;
     for (const auto& e : entries_) {
-        const auto type = static_cast<std::uint64_t>(e.type);
-        h = fnv_bytes(h, &type, sizeof type);
-        const auto slot = std::bit_cast<std::uint64_t>(e.predicted_time);
-        h = fnv_bytes(h, &slot, sizeof slot);
-        h = fnv_bytes(h, e.label.data(), e.label.size());
-        h = fnv_bytes(h, "\x1f", 1);  // label separator: no concat collisions
+        h = sim::fnv1a_le(h, static_cast<std::uint64_t>(e.type));
+        h = sim::fnv1a_le(h, std::bit_cast<std::uint64_t>(e.predicted_time));
+        h = sim::fnv1a(e.label, h);
+        h = sim::fnv1a("\x1f", h);  // label separator: no concat collisions
     }
     return h;
 }

@@ -68,8 +68,16 @@ private:
         skip_ws();
         const char c = peek();
         switch (c) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{':
+            case '[': {
+                if (depth_ == max_depth) {
+                    fail("nesting deeper than " + std::to_string(max_depth) + " levels");
+                }
+                ++depth_;
+                value v = c == '{' ? parse_object() : parse_array();
+                --depth_;
+                return v;
+            }
             case '"': return value{parse_string()};
             case 't':
                 if (consume_literal("true")) return value{true};
@@ -237,6 +245,7 @@ private:
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;  // open arrays/objects
 };
 
 }  // namespace

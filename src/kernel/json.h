@@ -91,6 +91,10 @@ private:
     std::size_t offset_;
 };
 
+/// Deepest array/object nesting parse() accepts. A container past the cap
+/// throws parse_error at its offset instead of recursing off the stack.
+inline constexpr std::size_t max_depth = 256;
+
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 value parse(const std::string& text);
 

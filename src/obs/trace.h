@@ -14,9 +14,9 @@
 // Cost model: every instrumentation point is guarded by a null-pointer check
 // on the attached sink, with all argument construction behind the branch, so
 // an un-traced run pays one predictable branch per site (the obs-off guard in
-// bench_hotpath pins this). The sink itself is header-only so the
-// instrumented libraries (sim, kernel, runtime) never link against jsk_obs —
-// only consumers of the export/metrics layers do.
+// tests/perf/test_overhead_guards.cpp pins this). The sink itself is
+// header-only so the instrumented libraries (sim, kernel, runtime) never link
+// against jsk_obs — only consumers of the export/metrics layers do.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +66,8 @@ inline const char* to_string(category c)
     return "?";
 }
 
-/// One typed argument. Values stay typed until export (the trace recorder
-/// reads them back; rendering happens only in chrome_export).
+/// One typed argument. Values stay typed until export (rendering happens
+/// only in chrome_export).
 struct arg {
     enum class kind : std::uint8_t { i64, f64, text };
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "sim/bytes.h"
+#include "sim/hash.h"
 
 namespace jsk::par {
 
@@ -105,18 +106,10 @@ inline std::optional<witness_key> parse_witness(const std::string& bytes)
     return k;
 }
 
-/// FNV-1a over a byte string — the digest the sweep drivers use to compare
-/// per-shard journals/traces without holding every oracle in memory.
-/// Stable across platforms (unlike std::hash).
-inline std::uint64_t fnv1a(const std::string& bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
+/// FNV-1a over a byte string (sim/hash.h) — the digest the sweeps use to
+/// compare per-shard journals/traces without holding every oracle in
+/// memory. Stable across platforms (unlike std::hash).
+using sim::fnv1a;
 
 /// FNV-1a over the canonical serialized form — byte-for-byte equal to
 /// fnv1a(serialize(k)) without materializing the string, so the in-memory
@@ -125,27 +118,10 @@ inline std::uint64_t fnv1a(const std::string& bytes)
 /// role: ("ab","c") and ("a","bc") serialize — and hash — differently.)
 inline std::uint64_t hash(const witness_key& k)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix_byte = [&h](unsigned char b) {
-        h ^= b;
-        h *= 0x100000001b3ULL;
-    };
-    const auto mix_u32 = [&](std::uint32_t v) {
-        for (int shift = 0; shift < 32; shift += 8) {
-            mix_byte(static_cast<unsigned char>(v >> shift));
-        }
-    };
-    for (int shift = 0; shift < 64; shift += 8) {
-        mix_byte(static_cast<unsigned char>(k.seed >> shift));
+    std::uint64_t h = sim::fnv1a_le(sim::fnv1a_offset, k.seed);
+    for (const std::string* field : {&k.plan, &k.decisions, &k.defense, &k.program}) {
+        h = sim::fnv1a(*field, sim::fnv1a_le(h, static_cast<std::uint32_t>(field->size())));
     }
-    const auto mix_str = [&](const std::string& s) {
-        mix_u32(static_cast<std::uint32_t>(s.size()));
-        for (const char c : s) mix_byte(static_cast<unsigned char>(c));
-    };
-    mix_str(k.plan);
-    mix_str(k.decisions);
-    mix_str(k.defense);
-    mix_str(k.program);
     return h;
 }
 

@@ -137,7 +137,7 @@ public:
     /// Interposition sites consult it through active_faults(), which is
     /// nullptr whenever no injector is attached *or* its plan is null — the
     /// fault-free path costs one branch (same pattern as the obs null-sink
-    /// guard, pinned by bench_hotpath).
+    /// guard, pinned by tests/perf/test_overhead_guards.cpp).
     void set_fault_injector(faults::injector* injector) { faults_ = injector; }
     [[nodiscard]] faults::injector* fault_injector() const { return faults_; }
     [[nodiscard]] faults::injector* active_faults() const;

@@ -1,6 +1,6 @@
 // Open-addressed hash index from 64-bit ids to 32-bit slot numbers: linear
 // probing, tombstoned erase (keeps probe chains intact), power-of-two tables.
-// Sequential ids are decorrelated with the splitmix64 finalizer. Amortized
+// Sequential ids are decorrelated with sim::mix64 (sim/hash.h). Amortized
 // allocation only on growth/rehash — the steady-state find/insert/erase path
 // never allocates. Shared by the simulator's pending-task arena; the kernel
 // event_queue uses the same scheme internally.
@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <vector>
+
+#include "sim/hash.h"
 
 namespace jsk::sim::detail {
 
@@ -19,7 +21,7 @@ public:
     {
         if (keys_.empty()) return npos;
         const std::size_t mask = keys_.size() - 1;
-        std::size_t pos = mix(id) & mask;
+        std::size_t pos = mix64(id) & mask;
         while (state_[pos] != 0) {
             if (state_[pos] == 1 && keys_[pos] == id) return slots_[pos];
             pos = (pos + 1) & mask;
@@ -33,7 +35,7 @@ public:
             rehash(std::max<std::size_t>(64, (used_ + 1) * 2));
         }
         const std::size_t mask = keys_.size() - 1;
-        std::size_t pos = mix(id) & mask;
+        std::size_t pos = mix64(id) & mask;
         while (state_[pos] == 1) pos = (pos + 1) & mask;
         if (state_[pos] == 0) ++filled_;  // reusing a tombstone keeps filled_
         keys_[pos] = id;
@@ -46,7 +48,7 @@ public:
     {
         if (keys_.empty()) return;
         const std::size_t mask = keys_.size() - 1;
-        std::size_t pos = mix(id) & mask;
+        std::size_t pos = mix64(id) & mask;
         while (state_[pos] != 0) {
             if (state_[pos] == 1 && keys_[pos] == id) {
                 state_[pos] = 2;  // tombstone
@@ -67,14 +69,6 @@ public:
     }
 
 private:
-    static std::uint64_t mix(std::uint64_t x)
-    {
-        x += 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return x ^ (x >> 31);
-    }
-
     void rehash(std::size_t min_capacity)
     {
         std::size_t cap = 64;
@@ -85,7 +79,7 @@ private:
         const std::size_t mask = cap - 1;
         for (std::size_t i = 0; i < keys_.size(); ++i) {
             if (state_[i] != 1) continue;
-            std::size_t pos = mix(keys_[i]) & mask;
+            std::size_t pos = mix64(keys_[i]) & mask;
             while (state[pos] != 0) pos = (pos + 1) & mask;
             keys[pos] = keys_[i];
             slots[pos] = slots_[i];

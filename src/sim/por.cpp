@@ -2,21 +2,11 @@
 
 #include <algorithm>
 
+#include "sim/hash.h"
+
 namespace jsk::sim::por {
 
 namespace {
-
-constexpr std::uint64_t fnv_offset = 14695981039346656037ULL;
-constexpr std::uint64_t fnv_prime = 1099511628211ULL;
-
-constexpr std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= fnv_prime;
-    }
-    return h;
-}
 
 /// Overlap with at least one write on a common key. Footprints are a handful
 /// of keys each, so the quadratic scan beats sorting.
@@ -138,12 +128,12 @@ analysis::analysis(const explore::controller& ctl)
             chains.begin(), chains.end(), k,
             [](const chain& c, std::uint64_t key) { return c.key < key; });
         if (it != chains.end() && it->key == k) return *it;
-        return *chains.insert(it, chain{k, fnv_mix(fnv_offset, k)});
+        return *chains.insert(it, chain{k, fnv1a_le(fnv1a_offset, k)});
     };
     for (std::size_t j = 0; j < steps; ++j) {
         for (std::uint32_t i = exec[j].access_begin; i < exec[j].access_end; ++i) {
             chain& c = chain_of(accesses[i].key);
-            c.hash = fnv_mix(
+            c.hash = fnv1a_le(
                 c.hash, (static_cast<std::uint64_t>(
                              static_cast<std::uint32_t>(exec[j].thread))
                          << 1) |
@@ -153,9 +143,9 @@ analysis::analysis(const explore::controller& ctl)
             }
         }
     }
-    class_hash_ = fnv_offset;
+    class_hash_ = fnv1a_offset;
     for (const chain& c : chains) {
-        class_hash_ = fnv_mix(fnv_mix(class_hash_, c.key), c.hash);
+        class_hash_ = fnv1a_le(fnv1a_le(class_hash_, c.key), c.hash);
     }
 }
 

@@ -8,29 +8,19 @@
 #include <array>
 #include <cstdint>
 
+#include "sim/hash.h"
+
 namespace jsk::sim {
 
-/// splitmix64 — used to seed xoshiro and as a cheap stateless mixer.
-constexpr std::uint64_t splitmix64(std::uint64_t& state)
-{
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 /// Derive an independent child seed from (root, stream_id): the stream id is
-/// first diffused through splitmix64 (so consecutive ids land far apart),
+/// first diffused through mix64 (so consecutive ids land far apart),
 /// xor-folded into the root, and the mix diffused again. Pure and stateless —
 /// the canonical way to hand each shard/worker/walk its own seed stream
 /// (`jsk::par` and the sweep drivers use it; don't improvise `seed + i`
 /// arithmetic, which correlates neighbouring streams).
 constexpr std::uint64_t split(std::uint64_t root, std::uint64_t stream_id)
 {
-    std::uint64_t s = stream_id;
-    std::uint64_t mixed = root ^ splitmix64(s);
-    return splitmix64(mixed);
+    return mix64(root ^ mix64(stream_id));
 }
 
 /// xoshiro256** generator: fast, high-quality, fully deterministic.

@@ -526,9 +526,7 @@ void simulation::execute(const queue_entry& entry)
     const time_ns end = done.start + done.consumed;
 
     if (tsink_ != nullptr) {
-        // The event name is the task label verbatim (possibly empty): the
-        // sim::trace_recorder adapter reconstructs task_info records from
-        // these spans and label equality must survive the round trip.
+        // The event name is the task label verbatim (possibly empty).
         tsink_->complete(obs::category::task, done.thread, done.start,
                          end - done.start, task.label,
                          {obs::num("id", done.id), obs::num("ready", task.ready_at)});

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "sim/hash.h"
 #include "svc/client.h"
 #include "svc/service.h"
 #include "svc/vfs.h"
@@ -13,13 +14,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::uint64_t mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
+using sim::mix64;
 
 /// Frame sink with crash points around every write: the "process died
 /// while the response was in flight" half of the matrix. Bytes written

@@ -64,7 +64,7 @@ struct service_options {
     /// durable byte; nullptr = the passthrough default_vfs(). Not owned.
     vfs* fs = nullptr;
     /// Forwarded to store_options::fsync: whether the per-wave ack barrier
-    /// reaches the platter or stops at the OS (the bench durability knob).
+    /// reaches the platter or stops at the OS.
     bool fsync = true;
 };
 

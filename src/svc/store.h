@@ -71,7 +71,7 @@ struct store_options {
     /// Not owned; must outlive the store.
     vfs* fs = nullptr;
     /// sync() fsyncs dirty shards (true) or stops at the OS flush already
-    /// performed per put (false — the bench's durability A/B knob).
+    /// performed per put (false); the stored bytes are the same either way.
     bool fsync = true;
 };
 

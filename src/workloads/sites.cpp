@@ -3,6 +3,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "runtime/rearm.h"
 #include "sim/rng.h"
 
 namespace jsk::workloads {
@@ -206,22 +207,14 @@ load_result load_site(rt::browser& b, const site_spec& site)
             img->onerror = [finish_one](const std::string&) { finish_one(); };
             apis.append_child(bp->doc().root(), img);
         }
-        // JS activity: short self-rescheduling timer chains. The chain body
-        // holds only a weak reference to itself — queued timeouts carry the
-        // strong ones — so finished chains free instead of leaking a
-        // shared_ptr cycle.
+        // JS activity: short self-rescheduling timer chains.
         for (int c = 0; c < site.timer_chains; ++c) {
             auto steps = std::make_shared<int>(6);
-            auto chain = std::make_shared<std::function<void()>>();
-            *chain = [bp, steps, wchain = std::weak_ptr<std::function<void()>>(chain)] {
-                bp->main().consume(200 * sim::us);
-                if (--*steps > 0) {
-                    if (auto next = wchain.lock()) {
-                        bp->main().apis().set_timeout([next] { (*next)(); }, 0);
-                    }
-                }
-            };
-            apis.set_timeout([chain] { (*chain)(); }, 1 * sim::ms);
+            apis.set_timeout(rt::rearming([bp, steps](const auto& again) {
+                                 bp->main().consume(200 * sim::us);
+                                 if (--*steps > 0) bp->main().apis().set_timeout(again, 0);
+                             }),
+                             1 * sim::ms);
         }
         // Workers.
         for (int i = 0; i < site.workers; ++i) {

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "attacks/clocks.h"
-#include "sim/trace.h"
 
 namespace {
 
@@ -72,24 +71,6 @@ TEST(video_cues, count_tracks_duration)
     const double slow =
         attacks::count_video_cues_during(slow_browser, delay_op(400 * sim::ms));
     EXPECT_GT(slow, fast);
-}
-
-TEST(trace_recorder, records_labels_and_intervals)
-{
-    sim::simulation s;
-    const auto t = s.create_thread("main");
-    sim::trace_recorder recorder;
-    recorder.attach(s, t);
-    s.post(t, 1 * sim::ms, [&] { s.consume(2 * sim::ms); }, "a");
-    s.post(t, 10 * sim::ms, [] {}, "b");
-    s.post(t, 30 * sim::ms, [] {}, "a");
-    s.run();
-    EXPECT_EQ(recorder.records().size(), 3u);
-    EXPECT_EQ(recorder.count_label("a"), 2u);
-    EXPECT_EQ(recorder.max_start_interval(), 20 * sim::ms);
-    EXPECT_EQ(recorder.total_busy(), 2 * sim::ms);
-    recorder.clear();
-    EXPECT_TRUE(recorder.records().empty());
 }
 
 }  // namespace

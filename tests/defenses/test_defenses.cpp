@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "defenses/defense.h"
+#include "runtime/rearm.h"
 
 namespace {
 
@@ -103,13 +104,13 @@ TEST(defense_deterfox, timers_stall_during_cross_origin_loads)
         apis.fetch(
             "https://victim.example/big", {},
             [&](const rt::fetch_result&) { load_done = true; }, nullptr);
-        auto tick = std::make_shared<std::function<void()>>();
         auto count = std::make_shared<int>(0);
-        *tick = [&b, &ticks_before_load_done, &load_done, tick, count] {
-            if (!load_done) ++ticks_before_load_done;
-            if (++*count < 40) b.main().apis().set_timeout([tick] { (*tick)(); }, 0);
-        };
-        apis.set_timeout([tick] { (*tick)(); }, 0);
+        apis.set_timeout(
+            rt::rearming([&b, &ticks_before_load_done, &load_done, count](const auto& again) {
+                if (!load_done) ++ticks_before_load_done;
+                if (++*count < 40) b.main().apis().set_timeout(again, 0);
+            }),
+            0);
     });
     b.run();
     EXPECT_TRUE(load_done);

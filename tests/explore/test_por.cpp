@@ -13,9 +13,11 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/explore_sweep.h"
+#include "core/arena.h"
 #include "kernel/journal.h"
 #include "runtime/browser.h"
 #include "runtime/vuln.h"
@@ -308,35 +310,44 @@ const std::vector<cve_budget> k_cve_budgets{
 
 TEST(por_differential, dpor_keeps_every_cve_witness_with_fewer_schedules)
 {
+    // Every CVE runs as a fresh-world program and, where the platform has an
+    // arena, as the snapshot-served program the sweeps use: both must give
+    // the same answers, schedule for schedule.
     for (const auto& [cve, budget] : k_cve_budgets) {
-        const auto program = jsk::attacks::cve_trigger_program(cve, false);
+        std::vector<std::pair<std::string, explore::program>> inputs;
+        inputs.emplace_back(cve, jsk::attacks::cve_trigger_program(cve, false));
+        if (jsk::core::arena::supported()) {
+            inputs.emplace_back(std::string(cve) + " (snapshot)",
+                                jsk::attacks::cve_trigger_program_snap(cve, false));
+        }
+        for (const auto& [name, program] : inputs) {
+            explore::options off;
+            off.max_schedules = budget;
+            const auto plain = explore::explore_dfs(program, off);
+            ASSERT_TRUE(plain.failing.has_value())
+                << name << ": unreduced DFS found no witness within " << budget;
 
-        explore::options off;
-        off.max_schedules = budget;
-        const auto plain = explore::explore_dfs(program, off);
-        ASSERT_TRUE(plain.failing.has_value())
-            << cve << ": unreduced DFS found no witness within " << budget;
+            explore::options on;
+            on.max_schedules = budget;
+            on.dpor = true;
+            const auto reduced = explore::explore_dfs(program, on);
+            ASSERT_TRUE(reduced.failing.has_value())
+                << name << ": DPOR pruned away the witness (unsound reduction)";
+            EXPECT_LE(reduced.schedules_run, plain.schedules_run) << name;
+            // The scripted exploits are timed to win their race outright, so
+            // the very first schedule is already the witness in both modes —
+            // the point of this differential is preservation (reduction never
+            // loses a CVE), not acceleration. Search-time reduction is
+            // measured on the needle family below, where the witness hides.
+            EXPECT_EQ(plain.schedules_run, 1u) << name;
+            EXPECT_EQ(reduced.schedules_run, 1u) << name;
 
-        explore::options on;
-        on.max_schedules = budget;
-        on.dpor = true;
-        const auto reduced = explore::explore_dfs(program, on);
-        ASSERT_TRUE(reduced.failing.has_value())
-            << cve << ": DPOR pruned away the witness (unsound reduction)";
-        EXPECT_LE(reduced.schedules_run, plain.schedules_run) << cve;
-        // The scripted exploits are timed to win their race outright, so the
-        // very first schedule is already the witness in both modes — the
-        // point of this differential is preservation (reduction never loses
-        // a CVE), not acceleration. Search-time reduction is measured on the
-        // needle family below, where the witness actually hides.
-        EXPECT_EQ(plain.schedules_run, 1u) << cve;
-        EXPECT_EQ(reduced.schedules_run, 1u) << cve;
-
-        // Same bug: both witnesses shrink to schedules that reproduce it.
-        const auto shrunk_plain = explore::shrink(*plain.failing, program);
-        const auto shrunk_reduced = explore::shrink(*reduced.failing, program);
-        EXPECT_TRUE(explore::replay(shrunk_plain, program).violated) << cve;
-        EXPECT_TRUE(explore::replay(shrunk_reduced, program).violated) << cve;
+            // Same bug: both witnesses shrink to schedules that reproduce it.
+            const auto shrunk_plain = explore::shrink(*plain.failing, program);
+            const auto shrunk_reduced = explore::shrink(*reduced.failing, program);
+            EXPECT_TRUE(explore::replay(shrunk_plain, program).violated) << name;
+            EXPECT_TRUE(explore::replay(shrunk_reduced, program).violated) << name;
+        }
     }
 }
 
@@ -345,26 +356,37 @@ TEST(por_differential, dpor_finds_the_buried_needle_witness_faster)
     // The search-hard family (attacks/explore_sweep.h): a two-flip witness at
     // the shallow decision points, buried under `noise` commuting tasks the
     // unreduced DFS explores first. DPOR reaches the needle in a constant
-    // number of runs; the plain search grows with the noise. Exact counts are
-    // pinned — the traversal is canonical, so they are stable by design.
-    const auto program = jsk::attacks::needle_search_program(10);
+    // number of runs; the plain search grows with the noise, so the
+    // reduction passes 10x from noise 8 on (median 15x over these sizes).
+    // Exact counts are pinned — the traversal is canonical, so they are
+    // stable by design.
+    struct needle_row {
+        int noise;
+        std::uint64_t dfs;
+        std::uint64_t dpor;
+        std::uint64_t pruned;
+    };
+    const std::vector<needle_row> rows{
+        {4, 16, 4, 18}, {6, 34, 4, 45}, {8, 60, 4, 84}, {10, 94, 4, 135}, {12, 136, 4, 198},
+    };
+    for (const needle_row& row : rows) {
+        const auto program = jsk::attacks::needle_search_program(row.noise);
 
-    explore::options off;
-    off.max_schedules = 100'000;
-    const auto plain = explore::explore_dfs(program, off);
-    ASSERT_TRUE(plain.failing.has_value());
-    EXPECT_EQ(plain.schedules_run, 94u);
+        explore::options off;
+        off.max_schedules = 100'000;
+        const auto plain = explore::explore_dfs(program, off);
+        ASSERT_TRUE(plain.failing.has_value()) << "noise " << row.noise;
+        EXPECT_EQ(plain.schedules_run, row.dfs) << "noise " << row.noise;
 
-    explore::options on = off;
-    on.dpor = true;
-    const auto reduced = explore::explore_dfs(program, on);
-    ASSERT_TRUE(reduced.failing.has_value());
-    EXPECT_EQ(reduced.schedules_run, 4u);
-    EXPECT_EQ(reduced.pruned, 135u);
-    EXPECT_EQ(*reduced.failing, *plain.failing);
-    EXPECT_TRUE(explore::replay(*reduced.failing, program).violated);
-    // The acceptance bar the bench tracks: >= 10x fewer schedules to witness.
-    EXPECT_GE(plain.schedules_run, 10 * reduced.schedules_run);
+        explore::options on = off;
+        on.dpor = true;
+        const auto reduced = explore::explore_dfs(program, on);
+        ASSERT_TRUE(reduced.failing.has_value()) << "noise " << row.noise;
+        EXPECT_EQ(reduced.schedules_run, row.dpor) << "noise " << row.noise;
+        EXPECT_EQ(reduced.pruned, row.pruned) << "noise " << row.noise;
+        EXPECT_EQ(*reduced.failing, *plain.failing) << "noise " << row.noise;
+        EXPECT_TRUE(explore::replay(*reduced.failing, program).violated) << "noise " << row.noise;
+    }
 }
 
 TEST(por_differential, dpor_strictly_reduces_schedules_on_exhaustive_search)

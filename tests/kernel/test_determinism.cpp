@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "kernel/kernel.h"
+#include "runtime/rearm.h"
 
 namespace {
 
@@ -37,13 +38,12 @@ observation measure_with_timeout_clock(rt::browser& b, sim::time_ns secret_cost)
         auto& apis = b.main().apis();
         st->t0 = apis.performance_now();
         // The implicit clock: a self-rescheduling timer counting ticks.
-        auto tick = std::make_shared<std::function<void()>>();
-        *tick = [&b, st, tick] {
-            if (st->done) return;
-            ++st->out.ticks;
-            b.main().apis().set_timeout([tick] { (*tick)(); }, 0);
-        };
-        apis.set_timeout([tick] { (*tick)(); }, 0);
+        apis.set_timeout(rt::rearming([&b, st](const auto& again) {
+                             if (st->done) return;
+                             ++st->out.ticks;
+                             b.main().apis().set_timeout(again, 0);
+                         }),
+                         0);
         apis.fetch(
             "https://x/secret", {},
             [&b, st](const rt::fetch_result&) {
@@ -142,16 +142,14 @@ TEST(determinism, clock_edge_iteration_count_is_secret_independent)
             auto& apis = b.main().apis();
             apis.fetch("https://x/s", {}, [st](const rt::fetch_result&) { st->done = true; },
                        nullptr);
-            auto spin = std::make_shared<std::function<void()>>();
-            *spin = [&b, st, spin] {
+            rt::rearming([&b, st](const auto& again) {
                 if (st->done) return;
                 for (int i = 0; i < 64; ++i) {
                     (void)b.main().apis().performance_now();
                     ++st->polls;
                 }
-                b.main().apis().set_timeout([spin] { (*spin)(); }, 0);
-            };
-            (*spin)();
+                b.main().apis().set_timeout(again, 0);
+            })();
         });
         b.run_until(10 * sim::sec);
         return st->polls;

@@ -1,6 +1,8 @@
 // Unit tests for the minimal JSON reader.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "kernel/json.h"
 
 namespace {
@@ -117,6 +119,49 @@ TEST(json, dump_renders_large_and_fractional_numbers_deterministically)
     EXPECT_EQ(dump(value{0.1}), "0.10000000000000001");  // %.17g, bit-exact
     const value round_tripped = parse(dump(value{0.1}));
     EXPECT_EQ(round_tripped.as_number(), 0.1);
+}
+
+// --- nesting cap: outside input cannot recurse the parser off the stack ------
+
+/// The offset parse() reports for `text`, or npos when it parses.
+std::size_t error_offset(const std::string& text)
+{
+    try {
+        parse(text);
+    } catch (const parse_error& e) {
+        return e.offset();
+    }
+    return std::string::npos;
+}
+
+TEST(json, refuses_arrays_nested_past_the_cap)
+{
+    EXPECT_EQ(error_offset(std::string(100'000, '[')), max_depth);
+    EXPECT_EQ(error_offset(std::string(max_depth + 1, '[') + std::string(max_depth + 1, ']')),
+              max_depth);
+}
+
+TEST(json, refuses_objects_nested_past_the_cap)
+{
+    std::string deep;
+    for (std::size_t i = 0; i <= max_depth; ++i) deep += "{\"k\":";
+    deep += "1" + std::string(max_depth + 1, '}');
+    EXPECT_EQ(error_offset(deep), max_depth * 5);  // the first '{' past the cap
+}
+
+TEST(json, parses_a_document_exactly_at_the_cap)
+{
+    value v = parse(std::string(max_depth, '[') + std::string(max_depth, ']'));
+    for (std::size_t depth = 1; depth < max_depth; ++depth) {
+        ASSERT_EQ(v.as_array().size(), 1u);
+        v = value(v.as_array()[0]);
+    }
+    EXPECT_TRUE(v.as_array().empty());
+
+    std::string objects;
+    for (std::size_t i = 0; i < max_depth; ++i) objects += "{\"k\":";
+    objects += "1" + std::string(max_depth, '}');
+    EXPECT_NO_THROW(parse(objects));
 }
 
 }  // namespace

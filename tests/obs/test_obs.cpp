@@ -1,7 +1,7 @@
 // Unit tests for the jsk::obs observability subsystem: sink recording,
 // Chrome trace-event export (pinned byte-for-byte against a golden string),
 // schema validation of a real simulated scenario via kernel::json::parse,
-// metrics instruments, and the trace_recorder adapter seam.
+// and metrics instruments.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,7 +14,6 @@
 #include "obs/trace.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
-#include "sim/trace.h"
 
 namespace {
 
@@ -251,35 +250,6 @@ TEST(obs_metrics, collect_sim_reports_execution_counters)
     EXPECT_EQ(reg.counters().at("sim.tasks_executed").value(), 4u);
     EXPECT_DOUBLE_EQ(reg.gauges().at("sim.threads").value(), 1.0);
     EXPECT_DOUBLE_EQ(reg.gauges().at("sim.pending_tasks").value(), 0.0);
-}
-
-TEST(obs_adapter, trace_recorder_restores_previous_sink)
-{
-    // The sim::trace_recorder is now a shadowing adapter: attaching must save
-    // the installed sink and detaching must bring it back.
-    sim::simulation s;
-    obs::sink global;
-    s.set_trace_sink(&global);
-
-    const sim::thread_id t = s.create_thread("main");
-    {
-        sim::trace_recorder rec;
-        rec.attach(s, t);
-        EXPECT_NE(s.trace_sink(), &global);
-        s.post(t, 1 * sim::ms, [] {}, "shadowed");
-        s.run();
-        ASSERT_EQ(rec.records().size(), 1u);
-        EXPECT_EQ(rec.records()[0].label, "shadowed");
-        EXPECT_EQ(rec.records()[0].thread, t);
-        rec.detach();
-        EXPECT_EQ(s.trace_sink(), &global);
-    }
-    // The shadowed span went to the recorder, not the global sink.
-    EXPECT_TRUE(global.empty());
-
-    s.post(t, 2 * sim::ms, [] {}, "global");
-    s.run();
-    EXPECT_EQ(global.size(), 1u);
 }
 
 }  // namespace

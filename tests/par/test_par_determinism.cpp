@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/chaos_sweep.h"
@@ -34,10 +35,12 @@ TEST(par_determinism, cve_matrix_bytes_identical_at_jobs_1_2_8)
 {
     attacks::matrix_options opt;
     opt.explore.seed = 101;
-    const std::string serial = matrix_json_at(1, 2, opt);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(matrix_json_at(2, 2, opt), serial);
-    EXPECT_EQ(matrix_json_at(8, 2, opt), serial);
+    for (const std::uint64_t walks : {2u, 8u}) {
+        const std::string serial = matrix_json_at(1, walks, opt);
+        EXPECT_FALSE(serial.empty());
+        EXPECT_EQ(matrix_json_at(2, walks, opt), serial) << walks << " walks";
+        EXPECT_EQ(matrix_json_at(8, walks, opt), serial) << walks << " walks";
+    }
 }
 
 TEST(par_determinism, cve_matrix_cached_resweep_matches_uncached_baseline)
@@ -48,45 +51,50 @@ TEST(par_determinism, cve_matrix_cached_resweep_matches_uncached_baseline)
     // same defense. The ground truth is an *uncached* serial run — comparing
     // two cached sweeps to each other would let identically-corrupted bytes
     // pass.
-    attacks::matrix_options opt;
-    opt.explore.seed = 101;
-    const std::string baseline = matrix_json_at(1, 2, opt);
+    for (const std::uint64_t walks : {2u, 8u}) {
+        SCOPED_TRACE(std::to_string(walks) + " walks");
+        attacks::matrix_options opt;
+        opt.explore.seed = 101;
+        const std::string baseline = matrix_json_at(1, walks, opt);
 
-    par::result_cache<attacks::cve_trial_outcome> cache;
-    opt.cache = &cache;
-    EXPECT_EQ(matrix_json_at(1, 2, opt), baseline);
-    const auto cold = cache.snapshot();
-    EXPECT_GT(cold.entries, 0u);
-    // Every cold lookup must miss: lookup keys (walk-0 and seeded) are
-    // unique per (cve, defense, walk), and replay keys are insert-only. A
-    // cold hit means two CVEs' trials shared a key — the aliasing this test
-    // exists to catch, even when the recalled outcome happens to have the
-    // same bytes.
-    const std::uint64_t jobs_per_sweep = attacks::cve_ids().size() * 2 * 2;
-    EXPECT_EQ(cold.hits, 0u);
-    EXPECT_EQ(cold.misses, jobs_per_sweep);
+        par::result_cache<attacks::cve_trial_outcome> cache;
+        opt.cache = &cache;
+        EXPECT_EQ(matrix_json_at(1, walks, opt), baseline);
+        const auto cold = cache.snapshot();
+        EXPECT_GT(cold.entries, 0u);
+        // Every cold lookup must miss: lookup keys (walk-0 and seeded) are
+        // unique per (cve, defense, walk), and replay keys are insert-only. A
+        // cold hit means two CVEs' trials shared a key — the aliasing this
+        // test exists to catch, even when the recalled outcome happens to
+        // have the same bytes.
+        const std::uint64_t jobs_per_sweep = attacks::cve_ids().size() * 2 * walks;
+        EXPECT_EQ(cold.hits, 0u);
+        EXPECT_EQ(cold.misses, jobs_per_sweep);
 
-    EXPECT_EQ(matrix_json_at(2, 2, opt), baseline);
-    EXPECT_EQ(matrix_json_at(8, 2, opt), baseline);
-    const auto warm = cache.snapshot();
-    // The re-sweeps recall instead of re-simulating: every job's single
-    // lookup hits, and no new entries appear.
-    EXPECT_EQ(warm.hits, 2 * jobs_per_sweep);
-    EXPECT_EQ(warm.misses, cold.misses);
-    EXPECT_EQ(warm.entries, cold.entries);
+        EXPECT_EQ(matrix_json_at(2, walks, opt), baseline);
+        EXPECT_EQ(matrix_json_at(8, walks, opt), baseline);
+        const auto warm = cache.snapshot();
+        // The re-sweeps recall instead of re-simulating: every job's single
+        // lookup hits, and no new entries appear.
+        EXPECT_EQ(warm.hits, 2 * jobs_per_sweep);
+        EXPECT_EQ(warm.misses, cold.misses);
+        EXPECT_EQ(warm.entries, cold.entries);
+    }
 }
 
 TEST(par_determinism, chaos_matrix_bytes_identical_at_jobs_1_2_8)
 {
-    const auto cells = attacks::default_chaos_cells(/*cves=*/2, /*plans=*/3);
-    ASSERT_EQ(cells.size(), 2u * 2u * 3u);
-    attacks::chaos_matrix_options opt;
-    opt.jobs = 1;
-    const std::string serial = attacks::chaos_matrix_json(run_chaos_matrix(cells, opt));
-    opt.jobs = 2;
-    EXPECT_EQ(attacks::chaos_matrix_json(run_chaos_matrix(cells, opt)), serial);
-    opt.jobs = 8;
-    EXPECT_EQ(attacks::chaos_matrix_json(run_chaos_matrix(cells, opt)), serial);
+    for (const auto& [cves, plans] : {std::pair{2, 3}, std::pair{4, 4}}) {
+        const auto cells = attacks::default_chaos_cells(cves, plans);
+        ASSERT_EQ(cells.size(), static_cast<std::size_t>(cves * 2 * plans));
+        attacks::chaos_matrix_options opt;
+        opt.jobs = 1;
+        const std::string serial = attacks::chaos_matrix_json(run_chaos_matrix(cells, opt));
+        opt.jobs = 2;
+        EXPECT_EQ(attacks::chaos_matrix_json(run_chaos_matrix(cells, opt)), serial) << cves;
+        opt.jobs = 8;
+        EXPECT_EQ(attacks::chaos_matrix_json(run_chaos_matrix(cells, opt)), serial) << cves;
+    }
 }
 
 TEST(par_determinism, chaos_matrix_cached_resweep_matches_uncached_baseline)

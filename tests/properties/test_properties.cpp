@@ -4,6 +4,7 @@
 #include <map>
 
 #include "kernel/kernel.h"
+#include "runtime/rearm.h"
 #include "sim/rng.h"
 
 namespace {
@@ -129,13 +130,12 @@ TEST_P(determinism_sweep, timer_tick_counts_are_secret_invariant)
         auto ticks = std::make_shared<long>(0);
         auto done = std::make_shared<bool>(false);
         b.main().post_task(0, [&b, ticks, done] {
-            auto tick = std::make_shared<std::function<void()>>();
-            *tick = [&b, ticks, done, tick] {
-                if (*done) return;
-                ++*ticks;
-                b.main().apis().set_timeout([tick] { (*tick)(); }, 0);
-            };
-            b.main().apis().set_timeout([tick] { (*tick)(); }, 0);
+            b.main().apis().set_timeout(rt::rearming([&b, ticks, done](const auto& again) {
+                                            if (*done) return;
+                                            ++*ticks;
+                                            b.main().apis().set_timeout(again, 0);
+                                        }),
+                                        0);
             b.main().apis().fetch(
                 "https://x/s", {}, [done](const rt::fetch_result&) { *done = true; },
                 nullptr);

@@ -195,22 +195,27 @@ TEST(snapshot_fork, sibling_forks_do_not_leak_into_each_other)
 TEST(snapshot_fork, site_preloaded_worlds_fork_identically)
 {
     REQUIRE_ARENA();
-    // The bench-critical shape: a world with synthetic page sessions
+    // The shape snapshots exist for: a world with synthetic page sessions
     // preloaded to quiescence, where trial deadlines are now()-relative.
-    attacks::cve_trial_spec spec;
-    spec.cve = attacks::cve_ids().front();
-    spec.site_ranks = {0, 1, 2};
-    core::fork_stats st;
-    auto snap = core::snapshot_world(attacks::cve_world_recipe(spec), &st);
-    EXPECT_GT(st.image_bytes, 0u);
+    for (const std::vector<std::uint64_t>& ranks :
+         {std::vector<std::uint64_t>{0, 1, 2}, std::vector<std::uint64_t>{0, 1, 2, 3}}) {
+        attacks::cve_trial_spec spec;
+        spec.cve = attacks::cve_ids().front();
+        spec.site_ranks = ranks;
+        core::fork_stats st;
+        auto snap = core::snapshot_world(attacks::cve_world_recipe(spec), &st);
+        EXPECT_GT(st.image_bytes, 0u);
 
-    for (const auto& defense : defense_columns()) {
-        spec.defense = defense;
-        attacks::cve_walk_spec walk;
-        const auto fresh = attacks::run_cve_trial_fresh(spec, walk);
-        const auto forked = attacks::run_cve_trial_forked(*snap, spec, walk, &st);
-        EXPECT_EQ(forked.triggered, fresh.triggered) << column_name(defense);
-        EXPECT_EQ(forked.decisions, fresh.decisions) << column_name(defense);
+        for (const auto& defense : defense_columns()) {
+            spec.defense = defense;
+            attacks::cve_walk_spec walk;
+            const auto fresh = attacks::run_cve_trial_fresh(spec, walk);
+            const auto forked = attacks::run_cve_trial_forked(*snap, spec, walk, &st);
+            EXPECT_EQ(forked.triggered, fresh.triggered)
+                << ranks.size() << " sites, " << column_name(defense);
+            EXPECT_EQ(forked.decisions, fresh.decisions)
+                << ranks.size() << " sites, " << column_name(defense);
+        }
     }
 }
 

@@ -25,6 +25,7 @@
 
 #include "attacks/explore_sweep.h"
 #include "faults/io.h"
+#include "sanitized_build.h"
 #include "svc/crash.h"
 #include "svc/service.h"
 
@@ -32,22 +33,6 @@ namespace {
 
 using namespace jsk;
 namespace fs = std::filesystem;
-
-bool sanitized_build()
-{
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-    return true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-    return true;
-#else
-    return false;
-#endif
-#else
-    return false;
-#endif
-}
 
 std::size_t wave_cves()
 {

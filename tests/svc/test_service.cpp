@@ -10,6 +10,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/explore_sweep.h"
@@ -121,53 +122,70 @@ TEST_F(service_test, snapshot_serving_is_a_throughput_knob_only)
 
 TEST_F(service_test, warm_cache_recalls_with_exact_pinned_hit_counts)
 {
-    svc::service_options opt;
-    opt.store_dir = dir_;
-    std::string cold_json;
-    {
-        svc::service s(opt);
-        auto jobs = matrix_jobs();
-        jobs.push_back(make_job(5, jobs[0].key.program, "plain"));  // duplicate witness
-        const auto cold = run_jobs(s, jobs);
-        EXPECT_EQ(cold.trials, 4u);  // the duplicate dedups into one trial...
-        EXPECT_EQ(cold.hits_mem, 0u);  // ...which is not a cache hit
-        EXPECT_EQ(cold.hits_disk, 0u);
-        cold_json = cold.merged_json;
-
-        // Same wave again in-process: everything is memory-resident.
-        jobs = matrix_jobs();
-        jobs.push_back(make_job(5, jobs[0].key.program, "plain"));
-        const auto warm = run_jobs(s, std::move(jobs));
-        EXPECT_EQ(warm.trials, 0u);
-        EXPECT_EQ(warm.hits_mem, 5u);
-        EXPECT_EQ(warm.hits_disk, 0u);
-        EXPECT_EQ(warm.merged_json, cold_json);
+    // Two waves, each in its own store: the shared matrix plus a duplicate
+    // witness, and every CVE x {plain, jskernel}.
+    auto small = matrix_jobs();
+    small.push_back(make_job(5, small[0].key.program, "plain"));  // duplicate witness
+    std::vector<svc::job> full;
+    for (const auto& cve : attacks::cve_ids()) {
+        for (const char* defense : {"plain", "jskernel"}) {
+            full.push_back(make_job(full.size() + 1, cve, defense));
+        }
     }
-    // A fresh process over the same store: recalled from disk, byte-identical
-    // aggregate, zero simulation.
-    svc::service s(opt);
-    auto jobs = matrix_jobs();
-    jobs.push_back(make_job(5, jobs[0].key.program, "plain"));
-    const auto recalled = run_jobs(s, std::move(jobs));
-    EXPECT_EQ(recalled.trials, 0u);
-    EXPECT_EQ(recalled.hits_disk, 4u);
-    EXPECT_EQ(recalled.hits_mem, 1u);  // the duplicate, promoted by the disk hit
-    EXPECT_EQ(recalled.merged_json, cold_json);
-    ASSERT_NE(s.disk(), nullptr);
-    EXPECT_EQ(s.disk()->stats().loaded_records, 4u);
-    EXPECT_EQ(s.disk()->stats().recalls, 4u);
+    const std::vector<std::pair<std::vector<svc::job>, std::uint64_t>> waves{
+        {small, 4}, {full, 2 * attacks::cve_ids().size()}};
+
+    for (const auto& [wave, distinct] : waves) {
+        SCOPED_TRACE(std::to_string(wave.size()) + "-job wave");
+        const std::uint64_t jobs = wave.size();
+        svc::service_options opt;
+        opt.store_dir = (fs::path(dir_) / std::to_string(jobs)).string();
+        std::string cold_json;
+        {
+            svc::service s(opt);
+            const auto cold = run_jobs(s, wave);
+            EXPECT_EQ(cold.trials, distinct);  // a duplicate dedups into one trial...
+            EXPECT_EQ(cold.hits_mem, 0u);      // ...which is not a cache hit
+            EXPECT_EQ(cold.hits_disk, 0u);
+            cold_json = cold.merged_json;
+
+            // Same wave again in-process: everything is memory-resident.
+            const auto warm = run_jobs(s, wave);
+            EXPECT_EQ(warm.trials, 0u);
+            EXPECT_EQ(warm.hits_mem, jobs);
+            EXPECT_EQ(warm.hits_disk, 0u);
+            EXPECT_EQ(warm.merged_json, cold_json);
+        }
+        // A fresh process over the same store: recalled from disk,
+        // byte-identical aggregate, zero simulation.
+        svc::service s(opt);
+        const auto recalled = run_jobs(s, wave);
+        EXPECT_EQ(recalled.trials, 0u);
+        EXPECT_EQ(recalled.hits_disk, distinct);
+        EXPECT_EQ(recalled.hits_mem, jobs - distinct);  // duplicates, promoted by the disk hit
+        EXPECT_EQ(recalled.merged_json, cold_json);
+        ASSERT_NE(s.disk(), nullptr);
+        EXPECT_EQ(s.disk()->stats().loaded_records, distinct);
+        EXPECT_EQ(s.disk()->stats().recalls, distinct);
+    }
 }
 
 TEST_F(service_test, uncached_and_cached_baselines_agree)
 {
     // The contract that makes the cache sound: a memory-only service and a
-    // store-backed one produce identical bytes for the same job set.
+    // store-backed one produce identical bytes for the same job set, whether
+    // the store's ack barrier fsyncs or stops at the OS.
     svc::service_options with_store;
-    with_store.store_dir = dir_;
+    with_store.store_dir = (fs::path(dir_) / "fsync").string();
+    svc::service_options no_fsync = with_store;
+    no_fsync.store_dir = (fs::path(dir_) / "nofsync").string();
+    no_fsync.fsync = false;
     svc::service cached(with_store);
+    svc::service unsynced(no_fsync);
     svc::service uncached({});
-    EXPECT_EQ(run_jobs(cached, matrix_jobs()).merged_json,
-              run_jobs(uncached, matrix_jobs()).merged_json);
+    const std::string baseline = run_jobs(uncached, matrix_jobs()).merged_json;
+    EXPECT_EQ(run_jobs(cached, matrix_jobs()).merged_json, baseline);
+    EXPECT_EQ(run_jobs(unsynced, matrix_jobs()).merged_json, baseline);
 }
 
 // --- chaos-path jobs --------------------------------------------------------
